@@ -19,8 +19,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rl_arb::InferenceMode;
 
 use super::backend::CellRecord;
-use super::record::{cell_from_json, cell_to_json, Json, ObjExt};
-use super::spec::{fnv1a64, ScenarioSpec, TierParams};
+use codec::{fnv1a64, Json};
+
+use super::record::{cell_from_json, cell_to_json};
+use super::spec::{ScenarioSpec, TierParams};
 use crate::CliArgs;
 
 /// Version stamp of the on-disk cache-entry schema *and* of the
@@ -126,8 +128,7 @@ impl ResultCache {
     /// self-repairs without any tooling.
     pub fn load(&self, hash: &str) -> Option<CellRecord> {
         let text = std::fs::read_to_string(self.path_for(hash)).ok()?;
-        let value = Json::parse(&text).ok()?;
-        let obj = value.as_object().ok()?;
+        let obj = Json::parse(&text).ok()?;
         if obj.get("cache_schema_version")?.as_u64().ok()? != CACHE_SCHEMA_VERSION {
             return None;
         }

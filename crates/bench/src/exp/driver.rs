@@ -17,11 +17,11 @@
 //! identity, and assembly collects results by job id — scenario-major,
 //! then seed-major, then policy-minor. Per-policy seed averages therefore
 //! accumulate in increasing-seed order — exactly the summation order of
-//! the historical serial loops (e.g. [`crate::apu_sweep_seeds`]) — so
-//! every rendered value is bit-identical to the pre-refactor binaries for
-//! any `--threads` count, and cache hits are byte-identical to fresh
-//! simulations (modulo the `cache` provenance field). The
-//! `driver_equivalence` and `result_cache` integration tests pin this.
+//! the historical serial loops — so every rendered value is bit-identical
+//! to the pre-refactor binaries for any `--threads` count, and cache hits
+//! are byte-identical to fresh simulations (modulo the `cache` provenance
+//! field). The `determinism` (against goldens frozen from the retired
+//! binaries) and `result_cache` integration tests pin this.
 
 use std::collections::HashMap;
 
@@ -233,18 +233,8 @@ pub fn run_figures_queued(names: &[&str], args: &CliArgs) -> Result<Vec<RunRecor
 fn custom_spec_hash(def: &FigureDef) -> String {
     format!(
         "{:016x}",
-        super::spec::fnv1a64(format!("custom:{}:{}", def.name, def.summary).as_bytes())
+        codec::fnv1a64(format!("custom:{}:{}", def.name, def.summary).as_bytes())
     )
-}
-
-/// Entry point shared by the thin per-figure shim binaries: parse the
-/// common flags (no positionals) and run one fixed figure.
-pub fn shim_main(figure: &str) {
-    let args = CliArgs::parse();
-    if let Err(e) = run_figure(figure, &args) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
 }
 
 fn write_record(record: &RunRecord, args: &CliArgs, basename: &str) -> Result<(), String> {
@@ -288,7 +278,7 @@ fn apu_recipe(benchmark: &str, params: &TierParams, seed: u64) -> TrainRecipe {
 }
 
 /// The training recipe behind a synthetic scenario's NN slot (the exact
-/// arguments of the legacy inline `train_synthetic_nn` call).
+/// arguments the pre-driver Fig. 5 binary trained with).
 fn synthetic_recipe(scenario: &ScenarioSpec, params: &TierParams, seed: u64) -> TrainRecipe {
     let ScenarioSpec::Synthetic { width, height, rate, noc, .. } = scenario else {
         panic!("synthetic NN recipe on a non-synthetic scenario")
@@ -607,7 +597,7 @@ fn plan_rows(spec: &ExperimentSpec, params: &TierParams, args: &CliArgs) -> Vec<
             // per-cell sweep seed — so all seeds and policies of a row see
             // the same fault environment.
             let plan: Option<FaultPlan> = if intensity > 0.0 {
-                let plan_seed = args.seed ^ super::spec::fnv1a64(
+                let plan_seed = args.seed ^ codec::fnv1a64(
                     format!("{}@f{intensity:.2}", scenario.label()).as_bytes(),
                 );
                 // A positive quiet tail shortens the plan horizon so all

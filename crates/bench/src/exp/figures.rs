@@ -9,7 +9,7 @@
 //! through [`super::driver::run_figure`] and emit a `RunRecord`.
 //!
 //! Renderers reproduce the pre-refactor binaries' stdout byte-for-byte;
-//! `tests/driver_equivalence.rs` pins that for Fig. 5 and Fig. 9.
+//! `tests/determinism.rs` pins that for Fig. 5 and Fig. 9.
 
 use apu_sim::{make_apu_sim, EngineConfig, APU_MESH, NUM_QUADRANTS};
 use apu_workloads::{Benchmark, InjectionClass};
@@ -32,9 +32,9 @@ use crate::{geomean, render_series, render_table, train_apu_agent, CliArgs};
 pub struct FigureDef {
     /// Canonical driver name (`fig05`, `table3`, …).
     pub name: &'static str,
-    /// The legacy binary name — accepted as an alias, and used as the
-    /// output basename so regenerated artifacts land on the checked-in
-    /// `results/` paths.
+    /// The output basename, so regenerated artifacts land on the
+    /// checked-in `results/` paths. It is the name of the retired
+    /// per-figure binary, and `repro` still accepts it as a figure name.
     pub legacy_bin: &'static str,
     /// One-line description for `repro list`.
     pub summary: &'static str,

@@ -49,7 +49,7 @@
 //! policy, seed, budget)` instance, and results are collected in
 //! submission order, so tables are byte-identical for every `--threads`
 //! value and match the pre-refactor binaries (pinned by
-//! `tests/driver_equivalence.rs`).
+//! `tests/determinism.rs`).
 
 pub mod artifacts;
 pub mod backend;

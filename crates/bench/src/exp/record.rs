@@ -9,11 +9,14 @@
 //! file.
 //!
 //! The build environment has no crates.io access, so serialization is a
-//! small hand-rolled JSON emitter plus a minimal recursive-descent parser
-//! (numbers keep their lexeme so `u64` seeds survive exactly).
+//! small hand-rolled JSON emitter; reading goes through the workspace's
+//! one parser, [`codec::Json`] (numbers keep their lexeme so `u64` seeds
+//! survive exactly).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+use codec::{json_str, Json};
 
 use super::backend::CellRecord;
 
@@ -118,36 +121,32 @@ impl RunRecord {
 
     /// Parses a record back from JSON (the regression-tooling direction).
     pub fn from_json(text: &str) -> Result<RunRecord, String> {
-        let value = Json::parse(text)?;
-        let obj = value.as_object()?;
+        let obj = Json::parse(text)?;
+        obj.as_object()?;
         let cells_json = obj.get("cells").ok_or("missing 'cells'")?.as_array()?;
         let mut cells = Vec::with_capacity(cells_json.len());
         for c in cells_json {
             cells.push(cell_from_json(c)?);
         }
-        let table_obj = obj.get("table").ok_or("missing 'table'")?.as_object()?;
+        let table_obj = obj.get("table").ok_or("missing 'table'")?;
+        table_obj.as_object()?;
         let headers = table_obj
             .get("headers")
             .ok_or("missing table 'headers'")?
             .as_array()?
             .iter()
-            .map(Json::as_str)
+            .map(string)
             .collect::<Result<Vec<_>, _>>()?;
         let mut rows = Vec::new();
         for row in table_obj.get("rows").ok_or("missing table 'rows'")?.as_array()? {
-            rows.push(
-                row.as_array()?
-                    .iter()
-                    .map(Json::as_str)
-                    .collect::<Result<Vec<_>, _>>()?,
-            );
+            rows.push(row.as_array()?.iter().map(string).collect::<Result<Vec<_>, _>>()?);
         }
         let get_str = |key: &str| -> Result<String, String> {
-            obj.get(key).ok_or(format!("missing '{key}'"))?.as_str()
+            string(obj.get(key).ok_or(format!("missing '{key}'"))?)
         };
         let normalization = match obj.get("normalization") {
             None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_str()?),
+            Some(v) => Some(string(v)?),
         };
         Ok(RunRecord {
             schema_version: obj
@@ -229,49 +228,28 @@ pub(crate) fn cell_to_json(c: &CellRecord) -> String {
 
 /// Parses one cell from its JSON value (inverse of [`cell_to_json`]).
 pub(crate) fn cell_from_json(c: &Json) -> Result<CellRecord, String> {
-    let co = c.as_object()?;
-    let metrics_obj = co.get("metrics").ok_or("missing cell 'metrics'")?.as_object()?;
+    c.as_object()?;
+    let metrics_obj = c.get("metrics").ok_or("missing cell 'metrics'")?.as_object()?;
     let mut metrics = Vec::with_capacity(metrics_obj.len());
     for (k, v) in metrics_obj {
-        metrics.push((k.clone(), v.as_f64()?));
+        metrics.push((k.clone(), metric(v)?));
     }
     let opt = |key: &str| -> Result<Option<String>, String> {
-        match co.get(key) {
+        match c.get(key) {
             None | Some(Json::Null) => Ok(None),
-            Some(v) => Ok(Some(v.as_str()?)),
+            Some(v) => Ok(Some(string(v)?)),
         }
     };
     Ok(CellRecord {
-        scenario: co.get("scenario").ok_or("missing cell 'scenario'")?.as_str()?,
-        policy: co.get("policy").ok_or("missing cell 'policy'")?.as_str()?,
-        seed: co.get("seed").ok_or("missing cell 'seed'")?.as_u64()?,
+        scenario: string(c.get("scenario").ok_or("missing cell 'scenario'")?)?,
+        policy: string(c.get("policy").ok_or("missing cell 'policy'")?)?,
+        seed: c.get("seed").ok_or("missing cell 'seed'")?.as_u64()?,
         artifact: opt("artifact")?,
         fault_plan: opt("fault_plan")?,
         cell_hash: opt("cell_hash")?,
         cache: opt("cache")?,
         metrics,
     })
-}
-
-/// Escapes a string for JSON.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Formats a finite f64 so it parses back to the same bits (`{:?}` is
@@ -284,230 +262,17 @@ pub(crate) fn json_num(v: f64) -> String {
     }
 }
 
-/// A minimal JSON value — just enough for the `RunRecord` schema.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number, kept as its lexeme so integers survive exactly.
-    Num(String),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
+/// Reads a string value as an owned `String`.
+pub(crate) fn string(v: &Json) -> Result<String, String> {
+    v.as_str().map(str::to_owned)
 }
 
-impl Json {
-    /// Parses a JSON document.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    pub(crate) fn as_object(&self) -> Result<&Vec<(String, Json)>, String> {
-        match self {
-            Json::Obj(m) => Ok(m),
-            other => Err(format!("expected object, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn as_array(&self) -> Result<&Vec<Json>, String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            other => Err(format!("expected array, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Result<String, String> {
-        match self {
-            Json::Str(s) => Ok(s.clone()),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => n.parse().map_err(|_| format!("expected u64, got {n}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Json::Num(n) => n.parse().map_err(|_| format!("bad number {n}")),
-            Json::Null => Ok(f64::NAN),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-}
-
-/// Helper for object field lookup on the insertion-ordered pairs.
-pub(crate) trait ObjExt {
-    /// Looks up `key`, returning the first match.
-    fn get(&self, key: &str) -> Option<&Json>;
-}
-
-impl ObjExt for Vec<(String, Json)> {
-    fn get(&self, key: &str) -> Option<&Json> {
-        self.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == ch {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {pos}", ch as char, pos = *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
-                pairs.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            if start == *pos {
-                return Err(format!("unexpected byte at {start}"));
-            }
-            let lexeme = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            lexeme
-                .parse::<f64>()
-                .map_err(|_| format!("bad number '{lexeme}'"))?;
-            Ok(Json::Num(lexeme.to_string()))
-        }
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
-        }
+/// Reads a metric: a number, or `null` (how [`json_num`] writes a
+/// non-finite value) as NaN.
+pub(crate) fn metric(v: &Json) -> Result<f64, String> {
+    match v {
+        Json::Null => Ok(f64::NAN),
+        v => v.as_f64(),
     }
 }
 
@@ -619,6 +384,15 @@ mod tests {
         let parsed = RunRecord::from_json(&rec.to_json()).unwrap();
         assert_eq!(parsed.seeds, rec.seeds);
         assert_eq!(parsed.base_seed, u64::MAX);
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        let json = sample().to_json();
+        let good = json.replace("\"abc1234-dirty\"", "\"\\u0041\"");
+        assert_eq!(RunRecord::from_json(&good).unwrap().git_describe, "A");
+        let signed = json.replace("\"abc1234-dirty\"", "\"\\u+041\"");
+        assert!(RunRecord::from_json(&signed).is_err(), "\\u+041 must not decode");
     }
 
     #[test]

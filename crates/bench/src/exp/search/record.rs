@@ -10,7 +10,9 @@
 
 use std::fmt::Write as _;
 
-use super::super::record::{json_num, json_str, Json, ObjExt};
+use codec::{json_str, Json};
+
+use super::super::record::{json_num, metric, string};
 
 /// Version stamp of the `SearchRecord` JSON schema. Bump on any breaking
 /// change and teach consumers both shapes.
@@ -143,8 +145,8 @@ impl SearchRecord {
     /// version skew is reported explicitly so the caller can choose to
     /// start fresh.
     pub fn from_json(text: &str) -> Result<SearchRecord, String> {
-        let value = Json::parse(text)?;
-        let obj = value.as_object()?;
+        let obj = Json::parse(text)?;
+        obj.as_object()?;
         let get = |key: &str| obj.get(key).ok_or(format!("missing '{key}'"));
         let schema_version = get("schema_version")?.as_u64()?;
         if schema_version != SEARCH_SCHEMA_VERSION {
@@ -154,25 +156,25 @@ impl SearchRecord {
         }
         let mut axes = Vec::new();
         for a in get("axes")?.as_array()? {
-            let ao = a.as_object()?;
-            let name = ao.get("name").ok_or("missing axis 'name'")?.as_str()?;
-            let levels = ao
+            a.as_object()?;
+            let name = string(a.get("name").ok_or("missing axis 'name'")?)?;
+            let levels = a
                 .get("levels")
                 .ok_or("missing axis 'levels'")?
                 .as_array()?
                 .iter()
-                .map(Json::as_str)
+                .map(string)
                 .collect::<Result<Vec<_>, _>>()?;
             axes.push((name, levels));
         }
         let mut points = Vec::new();
         for p in get("points")?.as_array()? {
-            let po = p.as_object()?;
-            let pget = |key: &str| po.get(key).ok_or(format!("missing point '{key}'"));
+            p.as_object()?;
+            let pget = |key: &str| p.get(key).ok_or(format!("missing point '{key}'"));
             points.push(SearchPointRecord {
                 index: pget("index")?.as_u64()?,
                 round: pget("round")?.as_u64()?,
-                op: pget("op")?.as_str()?,
+                op: string(pget("op")?)?,
                 ordinals: pget("ordinals")?
                     .as_array()?
                     .iter()
@@ -181,24 +183,24 @@ impl SearchRecord {
                 labels: pget("labels")?
                     .as_array()?
                     .iter()
-                    .map(Json::as_str)
+                    .map(string)
                     .collect::<Result<Vec<_>, _>>()?,
-                spec_hash: pget("spec_hash")?.as_str()?,
-                latency: pget("latency")?.as_f64()?,
-                throughput: pget("throughput")?.as_f64()?,
-                gates: pget("gates")?.as_f64()?,
-                score: pget("score")?.as_f64()?,
-                cache: pget("cache")?.as_str()?,
+                spec_hash: string(pget("spec_hash")?)?,
+                latency: metric(pget("latency")?)?,
+                throughput: metric(pget("throughput")?)?,
+                gates: metric(pget("gates")?)?,
+                score: metric(pget("score")?)?,
+                cache: string(pget("cache")?)?,
             });
         }
         Ok(SearchRecord {
             schema_version,
-            driver: get("driver")?.as_str()?,
+            driver: string(get("driver")?)?,
             base_seed: get("base_seed")?.as_u64()?,
             budget: get("budget")?.as_u64()?,
-            tier: get("tier")?.as_str()?,
-            git_describe: get("git_describe")?.as_str()?,
-            space_hash: get("space_hash")?.as_str()?,
+            tier: string(get("tier")?)?,
+            git_describe: string(get("git_describe")?)?,
+            space_hash: string(get("space_hash")?)?,
             axes,
             points,
             pareto: get("pareto")?

@@ -7,6 +7,7 @@
 //! `RunRecord` provenance stamp), diffable, and — eventually — shippable
 //! to remote workers.
 
+use codec::fnv1a64;
 use noc_arbiters::PolicyKind;
 use noc_sim::{ConfigError, Pattern, RoutingKind, Topology, TopologyKind};
 
@@ -394,8 +395,9 @@ pub enum Normalize {
 pub struct ExperimentSpec {
     /// Canonical figure name (`fig09`, `table3`, `load_sweep`, …).
     pub figure: String,
-    /// Output file basename (kept equal to the legacy binary name so
-    /// regenerated artifacts land on the checked-in paths).
+    /// Output file basename (kept equal to the retired per-figure
+    /// binary's name so regenerated artifacts land on the checked-in
+    /// paths).
     pub output: String,
     /// Human title printed above the table.
     pub title: String,
@@ -426,7 +428,7 @@ impl ExperimentSpec {
     }
 
     /// The seed list for a tier: `base, base+1, …` (the historical
-    /// [`crate::sweep_seeds`] convention).
+    /// figure binaries' convention).
     pub fn seed_list(&self, base: u64, tier: Tier) -> Vec<u64> {
         (0..self.params(tier).seeds as u64).map(|i| base + i).collect()
     }
@@ -447,16 +449,6 @@ impl ExperimentSpec {
     pub fn hash_hex(&self) -> String {
         format!("{:016x}", fnv1a64(format!("{self:?}").as_bytes()))
     }
-}
-
-/// 64-bit FNV-1a.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! # bench — experiment harnesses behind every figure and table
 //!
-//! Each binary in `src/bin/` regenerates one figure or table of the paper
-//! (see `DESIGN.md` for the index); this library holds the shared
-//! machinery: latency/execution-time measurement loops, agent training
-//! helpers for the "NN" policy, and plain-text table/series rendering.
+//! The `repro` binary regenerates every figure and table of the paper
+//! through the experiment driver in [`exp`] (see `DESIGN.md` for the
+//! index); this library holds the shared machinery: the flag grammar,
+//! policy specs, APU training and run helpers, and plain-text
+//! table/series rendering.
 //!
-//! All binaries accept `--quick` (shrink workloads for smoke runs),
+//! Every figure accepts `--quick` (shrink workloads for smoke runs),
 //! `--seed <n>`, `--threads <n>` (worker count for the parallel sweep
 //! engine in [`sweep`]; `--threads 1` reproduces the serial path
 //! bit-for-bit), and `--inference <f32|int8>` (numeric datapath for
@@ -18,10 +19,9 @@
 pub mod exp;
 pub mod sweep;
 
-use apu_sim::{run_apu, ApuRunResult, EngineConfig, WorkloadSpec};
+use apu_sim::{ApuRunResult, EngineConfig, WorkloadSpec};
 use noc_arbiters::{make_arbiter, PolicyKind};
-use noc_sim::{Arbiter, Pattern, SimConfig, Simulator, SyntheticTraffic, Topology};
-use noc_sim::BufferController;
+use noc_sim::{Arbiter, BufferController};
 use rl_arb::{AgentConfig, DqnAgent, FeatureSet, NnPolicyArbiter, OnlinePolicy, RlVcController};
 
 /// One entry of the shared flag grammar.
@@ -118,7 +118,7 @@ pub fn usage_flags() -> String {
         .join(" ")
 }
 
-/// Command-line options shared by the `repro` driver and every figure shim.
+/// Command-line options of the `repro` driver, shared by every figure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliArgs {
     /// Shrink workloads/epochs for a fast smoke run.
@@ -244,21 +244,6 @@ impl CliArgs {
         Ok((out, positionals))
     }
 
-    /// Parses the process arguments for a single-figure binary (flags only,
-    /// no positionals). On bad input prints the usage message to stderr and
-    /// exits with status 2 instead of panicking.
-    pub fn parse() -> Self {
-        let parsed = Self::parse_from(std::env::args().skip(1));
-        match parsed {
-            Ok((args, positionals)) if positionals.is_empty() => args,
-            Ok((_, positionals)) => usage_exit(&format!(
-                "unexpected argument '{}'",
-                positionals[0]
-            )),
-            Err(e) => usage_exit(&e),
-        }
-    }
-
     /// Workload scale factor for APU runs.
     pub fn apu_scale(&self) -> f64 {
         if self.quick {
@@ -267,63 +252,6 @@ impl CliArgs {
             0.5
         }
     }
-}
-
-/// Prints an argument error plus the shared usage line and exits(2).
-fn usage_exit(err: &str) -> ! {
-    let bin = std::env::args()
-        .next()
-        .map(|p| {
-            std::path::Path::new(&p)
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or(p.clone())
-        })
-        .unwrap_or_else(|| "bench".into());
-    eprintln!("error: {err}");
-    eprintln!("usage: {bin} {}", usage_flags());
-    std::process::exit(2);
-}
-
-/// Measures the steady-state average message latency of a policy on a
-/// synthetic-traffic mesh: `warmup` cycles discarded, `measure` cycles
-/// counted.
-#[allow(clippy::too_many_arguments)] // experiment parameters, not an API
-pub fn synthetic_latency(
-    width: u16,
-    height: u16,
-    pattern: Pattern,
-    rate: f64,
-    arbiter: Box<dyn Arbiter>,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-) -> f64 {
-    let topo = Topology::uniform_mesh(width, height).expect("valid mesh");
-    let cfg = SimConfig::synthetic(width, height);
-    let traffic = SyntheticTraffic::new(&topo, pattern, rate, cfg.num_vnets, seed);
-    let mut sim = Simulator::new(topo, cfg, arbiter, traffic).expect("valid sim");
-    sim.run(warmup);
-    sim.reset_stats();
-    sim.run(measure);
-    sim.stats().avg_latency()
-}
-
-/// Trains a DQN agent on a synthetic mesh and freezes it into the "NN"
-/// policy (used by Fig. 5).
-pub fn train_synthetic_nn(
-    width: u16,
-    height: u16,
-    rate: f64,
-    epochs: usize,
-    cycles_per_epoch: u64,
-    seed: u64,
-) -> NnPolicyArbiter {
-    let mut spec = rl_arb::TrainSpec::tuned_synthetic(width, rate, seed);
-    spec.height = height;
-    spec.epochs = epochs;
-    spec.cycles_per_epoch = cycles_per_epoch;
-    rl_arb::train_synthetic(&spec).agent.freeze()
 }
 
 /// Trains a DQN agent on the APU system by running the given workload
@@ -341,18 +269,8 @@ pub fn train_apu_agent(
     rl_arb::Trainer::new(AgentConfig::tuned_apu(seed)).run(&mut env).agent
 }
 
-/// Runs one APU experiment (four workload copies) under a policy.
-pub fn apu_run(
-    specs: Vec<WorkloadSpec>,
-    arbiter: Box<dyn Arbiter>,
-    seed: u64,
-    max_cycles: u64,
-) -> ApuRunResult {
-    run_apu(specs, arbiter, EngineConfig::default(), seed, max_cycles)
-}
-
-/// [`apu_run`] with an optional deterministic fault plan forwarded into
-/// the APU simulator. `None` is bit-identical to [`apu_run`].
+/// Runs one APU experiment (four workload copies) under a policy, with
+/// an optional deterministic fault plan forwarded into the APU simulator.
 pub fn apu_run_with_faults(
     specs: Vec<WorkloadSpec>,
     arbiter: Box<dyn Arbiter>,
@@ -536,306 +454,11 @@ impl PolicySpec {
     }
 }
 
-/// The Fig. 9/10/11 policy line-up as specs, in the paper's presentation
-/// order. `nn` supplies the frozen trained network when the sweep includes
-/// the "NN" column.
-pub fn apu_policy_specs(nn: Option<NnPolicyArbiter>) -> Vec<PolicySpec> {
-    let mut v = vec![
-        PolicySpec::builtin("Round-robin", PolicyKind::RoundRobin),
-        PolicySpec::builtin("iSLIP", PolicyKind::Islip),
-        PolicySpec::builtin("FIFO", PolicyKind::Fifo),
-        PolicySpec::builtin("ProbDist", PolicyKind::ProbDist),
-        PolicySpec::builtin("RL-inspired", PolicyKind::RlApu),
-    ];
-    if let Some(nn) = nn {
-        v.push(PolicySpec::nn("NN", nn));
-    }
-    v.push(PolicySpec::builtin("Global-age", PolicyKind::GlobalAge));
-    v
-}
-
-/// The Fig. 9/10/11 policy line-up, pre-built for one seed.
-pub fn apu_policy_lineup(
-    seed: u64,
-    nn: Option<NnPolicyArbiter>,
-) -> Vec<(String, Box<dyn Arbiter>)> {
-    apu_policy_specs(nn)
-        .into_iter()
-        .map(|spec| {
-            let arb = spec.build(seed);
-            (spec.name, arb)
-        })
-        .collect()
-}
-
-/// Runs one benchmark's four-copies experiment under every policy in the
-/// line-up and returns `(policy name, result)` pairs.
-pub fn apu_sweep_one(
-    specs: &[WorkloadSpec],
-    seed: u64,
-    max_cycles: u64,
-    nn: Option<&NnPolicyArbiter>,
-) -> Vec<(String, ApuRunResult)> {
-    apu_policy_lineup(seed, nn.cloned())
-        .into_iter()
-        .map(|(name, arb)| {
-            let r = apu_run(specs.to_vec(), arb, seed, max_cycles);
-            (name, r)
-        })
-        .collect()
-}
-
-/// Multi-seed sweep: every policy runs the experiment once per seed;
-/// returns `(policy name, mean avg-exec, mean tail-exec)` rows. Seed
-/// averaging tames the run-to-run variance of the statistical workloads.
-///
-/// All `seeds × policies` simulations are independent, so they dispatch
-/// through [`sweep::run_parallel`] on `threads` workers. Results are
-/// accumulated in the same (seed-major, policy-minor) order as the
-/// historical serial loop, so the output is identical for any `threads`.
-pub fn apu_sweep_seeds(
-    specs: &[WorkloadSpec],
-    seeds: &[u64],
-    max_cycles: u64,
-    nn: Option<&NnPolicyArbiter>,
-    threads: usize,
-) -> Vec<(String, f64, f64)> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let policies = apu_policy_specs(nn.cloned());
-    let jobs: Vec<(u64, &PolicySpec)> = seeds
-        .iter()
-        .flat_map(|&seed| policies.iter().map(move |p| (seed, p)))
-        .collect();
-    let results = sweep::run_parallel(jobs, threads, |(seed, policy)| {
-        apu_run(specs.to_vec(), policy.build(seed), seed, max_cycles)
-    });
-    let n_policies = policies.len();
-    let mut avg_sums = vec![0.0; n_policies];
-    let mut tail_sums = vec![0.0; n_policies];
-    for (j, r) in results.into_iter().enumerate() {
-        avg_sums[j % n_policies] += r.avg_exec;
-        tail_sums[j % n_policies] += r.tail_exec as f64;
-    }
-    let n = seeds.len() as f64;
-    policies
-        .into_iter()
-        .zip(avg_sums.into_iter().zip(tail_sums))
-        .map(|(p, (a, t))| (p.name, a / n, t / n))
-        .collect()
-}
-
-/// The seed list used by the figure binaries.
-pub fn sweep_seeds(base: u64, quick: bool) -> Vec<u64> {
-    if quick {
-        vec![base, base + 1]
-    } else {
-        vec![base, base + 1, base + 2, base + 3]
-    }
-}
-
-/// Formats a normalized row: each value divided by the reference (last)
-/// policy's value.
-pub fn normalized_row(label: &str, values: &[f64]) -> Vec<String> {
-    let reference = *values.last().expect("non-empty row");
-    let mut row = vec![label.to_string()];
-    for v in values {
-        row.push(format!("{:.3}", v / reference));
-    }
-    row
-}
-
 /// Geometric mean of positive values.
 pub fn geomean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "geomean of empty slice");
     let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
     (log_sum / values.len() as f64).exp()
-}
-
-/// Like [`synthetic_latency`] but returns the full statistics of the
-/// measurement window.
-#[allow(clippy::too_many_arguments)] // experiment parameters, not an API
-pub fn synthetic_run(
-    width: u16,
-    height: u16,
-    pattern: Pattern,
-    rate: f64,
-    arbiter: Box<dyn Arbiter>,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-) -> noc_sim::SimStats {
-    let topo = Topology::uniform_mesh(width, height).expect("valid mesh");
-    let cfg = SimConfig::synthetic(width, height);
-    let traffic = SyntheticTraffic::new(&topo, pattern, rate, cfg.num_vnets, seed);
-    let mut sim = Simulator::new(topo, cfg, arbiter, traffic).expect("valid sim");
-    sim.run(warmup);
-    sim.reset_stats();
-    sim.run(measure);
-    sim.stats().clone()
-}
-
-/// Parameters for the Fig. 5 experiment core ([`fig05_report`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fig05Params {
-    /// Warmup cycles discarded before the measurement window.
-    pub warmup: u64,
-    /// Measured cycles.
-    pub measure: u64,
-    /// Training epochs for the NN policy.
-    pub epochs: usize,
-    /// Cycles per training epoch.
-    pub epoch_cycles: u64,
-    /// Base seed for training, traffic and seeded policies.
-    pub seed: u64,
-    /// Sweep worker threads.
-    pub threads: usize,
-}
-
-impl Fig05Params {
-    /// The `--quick` configuration of the `fig05_synthetic` binary.
-    pub fn quick(seed: u64, threads: usize) -> Self {
-        Fig05Params {
-            warmup: 1_000,
-            measure: 6_000,
-            epochs: 8,
-            epoch_cycles: 1_000,
-            seed,
-            threads,
-        }
-    }
-
-    /// The full configuration of the `fig05_synthetic` binary.
-    pub fn full(seed: u64, threads: usize) -> Self {
-        Fig05Params {
-            warmup: 5_000,
-            measure: 40_000,
-            epochs: 60,
-            epoch_cycles: 2_000,
-            seed,
-            threads,
-        }
-    }
-}
-
-/// The Fig. 5 experiment core: per mesh (4×4 and 8×8), trains the NN
-/// policy, measures FIFO / RL-inspired / NN / Global-age under
-/// uniform-random traffic — the four runs dispatched through
-/// [`sweep::run_parallel`] — and renders the normalized latency tables.
-///
-/// A pure function of its parameters: equal `Fig05Params` (including
-/// different `threads` values) yield byte-identical text, which the
-/// determinism regression test in `tests/determinism.rs` pins down.
-pub fn fig05_report(p: &Fig05Params) -> String {
-    let mut out = String::new();
-    for (w, rl_kind, rate) in [
-        (4u16, PolicyKind::RlSynth4x4, 0.40),
-        (8u16, PolicyKind::RlSynth8x8, 0.20),
-    ] {
-        rl_arb::progress!("training NN policy for {w}x{w} at rate {rate} ...");
-        let nn = train_synthetic_nn(w, w, rate, p.epochs, p.epoch_cycles, p.seed);
-        let policies = vec![
-            PolicySpec::builtin("FIFO", PolicyKind::Fifo),
-            PolicySpec::builtin("RL-inspired", rl_kind),
-            PolicySpec::nn("NN", nn),
-            PolicySpec::builtin("Global-age", PolicyKind::GlobalAge),
-        ];
-        let rows_raw: Vec<(String, f64, f64, u64)> =
-            sweep::run_parallel(policies, p.threads, |spec| {
-                let s = synthetic_run(
-                    w,
-                    w,
-                    Pattern::UniformRandom,
-                    rate,
-                    spec.build(p.seed),
-                    p.warmup,
-                    p.measure,
-                    p.seed,
-                );
-                (
-                    spec.name,
-                    s.avg_latency(),
-                    s.latency_percentile(99.0) as f64,
-                    s.max_latency(),
-                )
-            });
-        let (ga_avg, ga_p99) = (rows_raw.last().unwrap().1, rows_raw.last().unwrap().2);
-        let rows: Vec<Vec<String>> = rows_raw
-            .iter()
-            .map(|(n, avg, p99, max)| {
-                vec![
-                    n.clone(),
-                    format!("{avg:.1}"),
-                    format!("{:.2}", avg / ga_avg),
-                    format!("{p99:.0}"),
-                    format!("{:.2}", p99 / ga_p99),
-                    format!("{max}"),
-                ]
-            })
-            .collect();
-        out.push_str(&format!("{w}x{w} mesh @ injection rate {rate}:\n"));
-        out.push_str(&render_table(
-            &["policy", "avg (cyc)", "avg norm", "p99 (cyc)", "p99 norm", "max"],
-            &rows,
-        ));
-        out.push('\n');
-    }
-    out
-}
-
-/// The load-sweep experiment core: latency vs offered load for four
-/// policies on a 4×4 uniform-random mesh, all `rate × policy` runs
-/// dispatched through [`sweep::run_parallel`]. Returns `(headers, rows)`
-/// ready for [`render_table`] / [`write_csv`].
-pub fn load_sweep_table(
-    quick: bool,
-    seed: u64,
-    threads: usize,
-) -> (Vec<String>, Vec<Vec<String>>) {
-    let (warmup, measure) = if quick { (1_000, 4_000) } else { (3_000, 15_000) };
-    let policies = [
-        PolicyKind::RoundRobin,
-        PolicyKind::Fifo,
-        PolicyKind::RlSynth4x4,
-        PolicyKind::GlobalAge,
-    ];
-    let rates: Vec<f64> = (1..=11).map(|i| 0.05 * i as f64).collect();
-
-    let mut headers: Vec<String> = vec!["rate".into()];
-    for k in policies {
-        headers.push(format!("{k} avg"));
-        headers.push(format!("{k} p99"));
-    }
-
-    let jobs: Vec<(f64, PolicyKind)> = rates
-        .iter()
-        .flat_map(|&rate| policies.iter().map(move |&kind| (rate, kind)))
-        .collect();
-    let stats = sweep::run_parallel(jobs, threads, |(rate, kind)| {
-        synthetic_run(
-            4,
-            4,
-            Pattern::UniformRandom,
-            rate,
-            make_arbiter(kind, seed),
-            warmup,
-            measure,
-            seed,
-        )
-    });
-
-    let rows = rates
-        .iter()
-        .enumerate()
-        .map(|(ri, &rate)| {
-            let mut row = vec![format!("{rate:.2}")];
-            for s in &stats[ri * policies.len()..(ri + 1) * policies.len()] {
-                row.push(format!("{:.1}", s.avg_latency()));
-                row.push(format!("{}", s.latency_percentile(99.0)));
-            }
-            row
-        })
-        .collect();
-    (headers, rows)
 }
 
 #[cfg(test)]
@@ -935,45 +558,6 @@ mod tests {
         )
         .is_err());
     }
-
-    #[test]
-    fn synthetic_latency_smoke() {
-        let l = synthetic_latency(
-            4,
-            4,
-            Pattern::UniformRandom,
-            0.05,
-            Box::new(noc_sim::arbiters::FifoArbiter::new()),
-            200,
-            500,
-            1,
-        );
-        assert!(l > 0.0);
-    }
-}
-
-/// Variant of [`synthetic_run`] with an explicit routing function.
-#[allow(clippy::too_many_arguments)] // experiment parameters, not an API
-pub fn synthetic_run_routed(
-    width: u16,
-    height: u16,
-    pattern: Pattern,
-    rate: f64,
-    routing: noc_sim::RoutingKind,
-    arbiter: Box<dyn Arbiter>,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-) -> noc_sim::SimStats {
-    let topo = Topology::uniform_mesh(width, height).expect("valid mesh");
-    let mut cfg = SimConfig::synthetic(width, height);
-    cfg.routing = routing;
-    let traffic = SyntheticTraffic::new(&topo, pattern, rate, cfg.num_vnets, seed);
-    let mut sim = Simulator::new(topo, cfg, arbiter, traffic).expect("valid sim");
-    sim.run(warmup);
-    sim.reset_stats();
-    sim.run(measure);
-    sim.stats().clone()
 }
 
 /// Writes a CSV file next to the printed table: header row plus data rows.

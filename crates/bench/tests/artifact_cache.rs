@@ -5,7 +5,7 @@
 //! run that populated the store — and every NN cell records the recipe
 //! hash of the checkpoint it was evaluated with.
 //!
-//! Budgets follow the `driver_equivalence` convention: the fig09 quick
+//! Budgets follow the `determinism.rs` convention: the fig09 quick
 //! shape shrunk to one workload and two policies so the double run stays
 //! test-suite friendly.
 

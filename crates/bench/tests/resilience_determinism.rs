@@ -72,7 +72,7 @@ fn resilience_quick_is_thread_invariant() {
 fn zero_fault_axis_reproduces_fig05_exactly() {
     rl_arb::set_quiet(true);
     let (spec, render) = matrix_figure("fig05");
-    // ~10× scaled-down quick budgets (the `driver_equivalence.rs`
+    // ~10× scaled-down quick budgets (the `determinism.rs`
     // convention) so the double NN-training run stays suite-friendly.
     let params = TierParams {
         warmup: 200,

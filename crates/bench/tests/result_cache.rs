@@ -7,7 +7,7 @@
 //! `"hit"`. A corrupted cache entry silently degrades to a re-simulated
 //! miss and is repaired in place.
 //!
-//! Budgets follow the `driver_equivalence` convention: quick shapes
+//! Budgets follow the `determinism.rs` convention: quick shapes
 //! shrunk (one scenario, small line-up, tiny budgets) so the repeated
 //! runs stay test-suite friendly.
 

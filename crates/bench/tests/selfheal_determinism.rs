@@ -55,7 +55,7 @@ fn args(seed: u64, threads: usize, tag: &str) -> CliArgs {
     }
 }
 
-/// The selfheal spec with `driver_equivalence`-convention scaled budgets
+/// The selfheal spec with `determinism.rs`-convention scaled budgets
 /// so the repeated full-matrix runs stay suite-friendly.
 fn scaled_selfheal() -> (ExperimentSpec, TierParams, bench::exp::figures::Renderer) {
     let FigureKind::Matrix { spec, render, .. } = &resolve("selfheal").unwrap().kind else {

@@ -17,6 +17,8 @@
 use std::fmt::Write as _;
 use std::str::FromStr;
 
+use codec::{json_str, Json};
+
 use crate::activation::Activation;
 use crate::layer::DenseLayer;
 use crate::network::Mlp;
@@ -290,8 +292,8 @@ impl Checkpoint {
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"ckpt_schema\": {CHECKPOINT_SCHEMA_VERSION},");
-        let _ = writeln!(s, "  \"recipe_hash\": {},", json_escape(&self.recipe_hash));
-        let _ = writeln!(s, "  \"git_describe\": {},", json_escape(&self.git_describe));
+        let _ = writeln!(s, "  \"recipe_hash\": {},", json_str(&self.recipe_hash));
+        let _ = writeln!(s, "  \"git_describe\": {},", json_str(&self.git_describe));
         match self.converged {
             Some(c) => {
                 let _ = writeln!(s, "  \"converged\": {c},");
@@ -305,12 +307,12 @@ impl Checkpoint {
         } else {
             s.push_str("  \"config\": {\n");
             for (i, (k, v)) in self.config.iter().enumerate() {
-                let _ = write!(s, "    {}: {}", json_escape(k), json_escape(v));
+                let _ = write!(s, "    {}: {}", json_str(k), json_str(v));
                 s.push_str(if i + 1 < self.config.len() { ",\n" } else { "\n" });
             }
             s.push_str("  },\n");
         }
-        let _ = writeln!(s, "  \"model\": {}", json_escape(&self.model.to_text()));
+        let _ = writeln!(s, "  \"model\": {}", json_str(&self.model.to_text()));
         s.push_str("}\n");
         s
     }
@@ -323,36 +325,36 @@ impl Checkpoint {
     /// JSON, a schema version this build does not understand, missing or
     /// mistyped fields, or an embedded model that fails [`Mlp::from_text`].
     pub fn from_json(text: &str) -> Result<Checkpoint, String> {
-        let value = JsonValue::parse(text)?;
-        let obj = value.as_object()?;
-        let schema = obj.field("ckpt_schema")?.as_u64()?;
+        let obj = Json::parse(text)?;
+        obj.as_object()?;
+        let schema = field(&obj, "ckpt_schema")?.as_u64()?;
         if schema != CHECKPOINT_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported checkpoint schema {schema} (this build reads v{CHECKPOINT_SCHEMA_VERSION})"
             ));
         }
-        let converged = match obj.field("converged")? {
-            JsonValue::Null => None,
-            JsonValue::Bool(b) => Some(*b),
+        let converged = match field(&obj, "converged")? {
+            Json::Null => None,
+            Json::Bool(b) => Some(*b),
             other => return Err(format!("'converged' must be bool or null, got {other:?}")),
         };
         let f64_list = |key: &str| -> Result<Vec<f64>, String> {
-            obj.field(key)?
+            field(&obj, key)?
                 .as_array()?
                 .iter()
-                .map(JsonValue::as_f64)
+                .map(Json::as_f64)
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| format!("'{key}': {e}"))
         };
         let mut config = Vec::new();
-        for (k, v) in obj.field("config")?.as_object()? {
-            config.push((k.clone(), v.as_str()?));
+        for (k, v) in field(&obj, "config")?.as_object()? {
+            config.push((k.clone(), v.as_str()?.to_string()));
         }
-        let model_text = obj.field("model")?.as_str()?;
-        let model = Mlp::from_text(&model_text).map_err(|e| format!("embedded model: {e}"))?;
+        let model_text = field(&obj, "model")?.as_str()?;
+        let model = Mlp::from_text(model_text).map_err(|e| format!("embedded model: {e}"))?;
         Ok(Checkpoint {
-            recipe_hash: obj.field("recipe_hash")?.as_str()?,
-            git_describe: obj.field("git_describe")?.as_str()?,
+            recipe_hash: field(&obj, "recipe_hash")?.as_str()?.to_string(),
+            git_describe: field(&obj, "git_describe")?.as_str()?.to_string(),
             converged,
             curve: f64_list("curve")?,
             accuracy: f64_list("accuracy")?,
@@ -387,27 +389,6 @@ impl Checkpoint {
     }
 }
 
-/// Escapes a string for JSON.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats finite f64s so each parses back to the same bits (`{:?}` is
 /// Rust's shortest round-trip form). Learning curves are always finite;
 /// non-finite values would not survive JSON and are a caller bug.
@@ -416,227 +397,9 @@ fn json_f64_list(values: &[f64]) -> String {
     values.iter().map(|v| format!("{v:?}")).collect::<Vec<_>>().join(", ")
 }
 
-/// A minimal JSON value — just enough for the checkpoint schema. (The
-/// build environment has no crates.io access, and this crate sits below
-/// the experiment layer's parser, so it carries its own.)
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    /// Numbers keep their lexeme so integers survive exactly.
-    Num(String),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = json_parse_value(bytes, &mut pos)?;
-        json_skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn as_object(&self) -> Result<&Vec<(String, JsonValue)>, String> {
-        match self {
-            JsonValue::Obj(m) => Ok(m),
-            other => Err(format!("expected object, got {other:?}")),
-        }
-    }
-
-    fn as_array(&self) -> Result<&Vec<JsonValue>, String> {
-        match self {
-            JsonValue::Arr(a) => Ok(a),
-            other => Err(format!("expected array, got {other:?}")),
-        }
-    }
-
-    fn as_str(&self) -> Result<String, String> {
-        match self {
-            JsonValue::Str(s) => Ok(s.clone()),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            JsonValue::Num(n) => n.parse().map_err(|_| format!("expected u64, got {n}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            JsonValue::Num(n) => n.parse().map_err(|_| format!("bad number {n}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-}
-
-/// Field lookup on the insertion-ordered object pairs.
-trait JsonObjExt {
-    fn field(&self, key: &str) -> Result<&JsonValue, String>;
-}
-
-impl JsonObjExt for Vec<(String, JsonValue)> {
-    fn field(&self, key: &str) -> Result<&JsonValue, String> {
-        self.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing '{key}'"))
-    }
-}
-
-fn json_skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn json_parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    json_skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            json_skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Obj(pairs));
-            }
-            loop {
-                json_skip_ws(b, pos);
-                let key = json_parse_string(b, pos)?;
-                json_skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}", pos = *pos));
-                }
-                *pos += 1;
-                let value = json_parse_value(b, pos)?;
-                pairs.push((key, value));
-                json_skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            json_skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            loop {
-                items.push(json_parse_value(b, pos)?);
-                json_skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'"') => Ok(JsonValue::Str(json_parse_string(b, pos)?)),
-        Some(b't') => json_parse_lit(b, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => json_parse_lit(b, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => json_parse_lit(b, pos, "null", JsonValue::Null),
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            if start == *pos {
-                return Err(format!("unexpected byte at {start}"));
-            }
-            let lexeme = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            lexeme
-                .parse::<f64>()
-                .map_err(|_| format!("bad number '{lexeme}'"))?;
-            Ok(JsonValue::Num(lexeme.to_string()))
-        }
-    }
-}
-
-fn json_parse_lit(
-    b: &[u8],
-    pos: &mut usize,
-    lit: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn json_parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
-        }
-    }
+/// The member `key` of a checkpoint object, or an error naming it.
+fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
+    obj.get(key).ok_or_else(|| format!("missing '{key}'"))
 }
 
 #[cfg(test)]
@@ -772,6 +535,15 @@ mod tests {
         assert!(Checkpoint::from_json("{\"ckpt_schema\": 1,").is_err());
         assert!(Checkpoint::from_json("[]").is_err());
         assert!(Checkpoint::from_json("{} trailing").is_err());
+    }
+
+    #[test]
+    fn checkpoint_unicode_escapes_need_four_hex_digits() {
+        let json = sample_checkpoint().to_json();
+        let good = json.replace("\"v0-test\"", "\"\\u0041\"");
+        assert_eq!(Checkpoint::from_json(&good).unwrap().git_describe, "A");
+        let signed = json.replace("\"v0-test\"", "\"\\u+041\"");
+        assert!(Checkpoint::from_json(&signed).is_err(), "\\u+041 must not decode");
     }
 
     #[test]

@@ -3,21 +3,22 @@
 //! boundary — including across process restarts — and continue
 //! bit-identically to the unsplit run.
 //!
-//! A [`SimCheckpoint`] is a canonical JSON document in the same minimal
-//! dialect the fault-plan codec reads ([`crate::faults::json`]): objects,
-//! arrays, escape-free strings, and unsigned integers. Everything that is
-//! not naturally an unsigned integer is mapped onto one — `f64` fields
-//! travel as their IEEE-754 bit patterns, signed counters as two's
-//! complement casts, and the one `u128` accumulator as a (hi, lo) pair —
-//! so the codec stays lossless without growing a float/negative-number
-//! grammar.
+//! A [`SimCheckpoint`] is a canonical JSON document in the same dialect
+//! as fault plans: objects, arrays, escape-free strings, and unsigned
+//! integers, read through [`codec::Json`] and the key-naming [`Fields`]
+//! adapter. Everything that is not naturally an unsigned integer is
+//! mapped onto one — `f64` fields travel as their IEEE-754 bit patterns,
+//! signed counters as two's complement casts, and the one `u128`
+//! accumulator as a (hi, lo) pair — so the documents stay lossless
+//! without floats or negative numbers.
 //!
 //! The document captures only *mutable* state. Construction-time inputs
 //! (topology, configuration, the arbiter and traffic-source objects)
 //! are re-supplied by the caller to [`crate::Simulator::restore`], which
 //! cross-checks their shape against the checkpoint before applying it.
 
-use crate::faults::json::Value;
+use codec::{fnv1a64, Json};
+
 use crate::packet::{BufferedPacket, Packet};
 use crate::types::{DestType, MsgType, NodeId, RouterId};
 
@@ -57,9 +58,8 @@ impl SimCheckpoint {
     /// mismatch against [`CHECKPOINT_VERSION`]. Field-level validation
     /// happens later, in [`crate::Simulator::restore`].
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = crate::faults::json::parse(text)?;
-        let obj = v.as_obj("checkpoint")?;
-        let version = crate::faults::json::get(obj, "version")?.as_u64("version")?;
+        let doc = Json::parse(text)?;
+        let version = doc.object("checkpoint")?.u64_field("version")?;
         if version != CHECKPOINT_VERSION {
             return Err(format!(
                 "checkpoint version {version} not supported (expected {CHECKPOINT_VERSION})"
@@ -78,15 +78,52 @@ impl SimCheckpoint {
     }
 }
 
-/// 64-bit FNV-1a over raw bytes (the same constants the fault-plan and
-/// experiment-spec hashes use).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// The simulator's reading dialect over [`codec::Json`]: fields are read
+/// by key, and every error names the key or record it came from.
+pub(crate) trait Fields {
+    /// `self` if it is an object, else an error naming `what`.
+    fn object(&self, what: &str) -> Result<&Json, String>;
+    /// The member `key`, or an error naming it.
+    fn field(&self, key: &str) -> Result<&Json, String>;
+    /// The unsigned integer at `key`.
+    fn u64_field(&self, key: &str) -> Result<u64, String> {
+        u64_of(self.field(key)?, key)
     }
-    h
+    /// The string at `key`.
+    fn str_field(&self, key: &str) -> Result<&str, String>;
+    /// The array at `key`.
+    fn arr_field(&self, key: &str) -> Result<&[Json], String>;
+}
+
+impl Fields for Json {
+    fn object(&self, what: &str) -> Result<&Json, String> {
+        match self {
+            Json::Obj(_) => Ok(self),
+            _ => Err(format!("{what} must be an object")),
+        }
+    }
+
+    fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| format!("missing key \"{key}\""))
+    }
+
+    fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.field(key)?
+            .as_str()
+            .map_err(|_| format!("\"{key}\" must be a string"))
+    }
+
+    fn arr_field(&self, key: &str) -> Result<&[Json], String> {
+        self.field(key)?
+            .as_array()
+            .map_err(|_| format!("\"{key}\" must be an array"))
+    }
+}
+
+/// Reads `v` as an unsigned integer, naming `what` on failure.
+pub(crate) fn u64_of(v: &Json, what: &str) -> Result<u64, String> {
+    v.as_u64()
+        .map_err(|_| format!("\"{what}\" must be an unsigned integer"))
 }
 
 /// Number of integers a [`Packet`] flattens to.
@@ -188,14 +225,15 @@ pub(crate) fn push_num_arr(out: &mut String, vals: impl IntoIterator<Item = u64>
 }
 
 /// Reads a parsed value as a flat `u64` array.
-pub(crate) fn num_arr(v: &Value, what: &str) -> Result<Vec<u64>, String> {
-    v.as_arr(what)?
+pub(crate) fn num_arr(v: &Json, what: &str) -> Result<Vec<u64>, String> {
+    v.as_array()
+        .map_err(|_| format!("\"{what}\" must be an array"))?
         .iter()
-        .map(|item| item.as_u64(what))
+        .map(|item| u64_of(item, what))
         .collect()
 }
 
-/// Rejects state strings the escape-free codec cannot carry. Opaque
+/// Rejects state strings the escape-free writer cannot carry. Opaque
 /// arbiter/traffic state is formatted by this crate and its policy
 /// crates from integers and `:;|` separators, so a quote, backslash or
 /// control character here is a bug in a `checkpoint_state`

@@ -33,6 +33,9 @@
 //! [`SimStats`](crate::SimStats::wedged_ports) instead of letting a faulty
 //! run hang silently.
 
+use codec::Json;
+
+use crate::checkpoint::Fields;
 use crate::rng::SplitMix64;
 use crate::topology::Topology;
 use crate::types::{PortDir, RouterId};
@@ -261,12 +264,7 @@ impl FaultPlan {
     /// 64-bit FNV-1a content hash of the plan, as 16 hex digits. Recorded
     /// per experiment cell so results are traceable to the exact plan.
     pub fn hash_hex(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{self:?}").bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", codec::fnv1a64(format!("{self:?}").as_bytes()))
     }
 
     /// Serializes the plan to its canonical JSON form:
@@ -314,198 +312,36 @@ impl FaultPlan {
     ///
     /// Returns a description of the first syntax or schema problem.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        Self::from_value(&json::parse(text)?)
+        Self::from_value(&Json::parse(text)?)
     }
 
     /// Parses a plan from an already-parsed JSON value — the simulator
     /// checkpoint embeds the plan as a nested object inside its own
     /// document, so the codec must not have to re-serialize it first.
-    pub(crate) fn from_value(v: &json::Value) -> Result<Self, String> {
-        let obj = v.as_obj("plan")?;
-        let seed = json::get(obj, "seed")?.as_u64("seed")?;
+    pub(crate) fn from_value(v: &Json) -> Result<Self, String> {
+        let obj = v.object("plan")?;
+        let seed = obj.u64_field("seed")?;
         let mut events = Vec::new();
-        for (i, item) in json::get(obj, "events")?.as_arr("events")?.iter().enumerate() {
-            let e = item.as_obj(&format!("events[{i}]"))?;
-            let tag = json::get(e, "kind")?.as_str("kind")?;
-            let kind = match tag {
+        for (i, item) in obj.arr_field("events")?.iter().enumerate() {
+            let e = item.object(&format!("events[{i}]"))?;
+            let kind = match e.str_field("kind")? {
                 "transient_link" => FaultKind::TransientLink,
                 "link_down" => FaultKind::LinkDown,
                 "router_stall" => FaultKind::RouterStall,
                 "vc_shrink" => FaultKind::VcShrink {
-                    flits: json::get(e, "flits")?.as_u64("flits")? as u32,
+                    flits: e.u64_field("flits")? as u32,
                 },
                 other => return Err(format!("unknown fault kind \"{other}\"")),
             };
             events.push(FaultEvent {
                 kind,
-                router: json::get(e, "router")?.as_u64("router")? as usize,
-                port: json::get(e, "port")?.as_u64("port")? as usize,
-                onset: json::get(e, "onset")?.as_u64("onset")?,
-                duration: json::get(e, "duration")?.as_u64("duration")?,
+                router: e.u64_field("router")? as usize,
+                port: e.u64_field("port")? as usize,
+                onset: e.u64_field("onset")?,
+                duration: e.u64_field("duration")?,
             });
         }
         Ok(FaultPlan { seed, events })
-    }
-}
-
-/// Minimal JSON reader for the fault-plan dialect: objects, arrays,
-/// strings without escapes, and unsigned integers — exactly what
-/// [`FaultPlan::to_json`] emits. Crate-visible because the simulator
-/// checkpoint codec (`crate::checkpoint`) speaks the same dialect.
-pub(crate) mod json {
-    pub(crate) enum Value {
-        Num(u64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub(crate) fn as_u64(&self, what: &str) -> Result<u64, String> {
-            match self {
-                Value::Num(n) => Ok(*n),
-                _ => Err(format!("\"{what}\" must be an unsigned integer")),
-            }
-        }
-
-        pub(crate) fn as_str(&self, what: &str) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                _ => Err(format!("\"{what}\" must be a string")),
-            }
-        }
-
-        pub(crate) fn as_arr(&self, what: &str) -> Result<&[Value], String> {
-            match self {
-                Value::Arr(a) => Ok(a),
-                _ => Err(format!("\"{what}\" must be an array")),
-            }
-        }
-
-        pub(crate) fn as_obj(&self, what: &str) -> Result<&[(String, Value)], String> {
-            match self {
-                Value::Obj(o) => Ok(o),
-                _ => Err(format!("{what} must be an object")),
-            }
-        }
-    }
-
-    pub(crate) fn get<'a>(
-        obj: &'a [(String, Value)],
-        key: &str,
-    ) -> Result<&'a Value, String> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key \"{key}\""))
-    }
-
-    pub(crate) fn parse(text: &str) -> Result<Value, String> {
-        let b = text.as_bytes();
-        let mut pos = 0;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing characters at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&ch) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", ch as char, *pos))
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let start = *pos;
-        while *pos < b.len() && b[*pos] != b'"' {
-            if b[*pos] == b'\\' {
-                return Err(format!("escape sequences unsupported at byte {}", *pos));
-            }
-            *pos += 1;
-        }
-        if *pos >= b.len() {
-            return Err("unterminated string".into());
-        }
-        let s = std::str::from_utf8(&b[start..*pos])
-            .map_err(|_| "invalid UTF-8 in string".to_string())?
-            .to_string();
-        *pos += 1;
-        Ok(s)
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    let key = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    fields.push((key, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(c) if c.is_ascii_digit() => {
-                let start = *pos;
-                while *pos < b.len() && b[*pos].is_ascii_digit() {
-                    *pos += 1;
-                }
-                let s = std::str::from_utf8(&b[start..*pos]).unwrap();
-                s.parse::<u64>()
-                    .map(Value::Num)
-                    .map_err(|e| format!("bad number \"{s}\": {e}"))
-            }
-            _ => Err(format!("unexpected input at byte {}", *pos)),
-        }
     }
 }
 

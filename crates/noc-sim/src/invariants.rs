@@ -255,6 +255,14 @@ pub struct InvariantChecker {
     expected_reserved: Vec<i64>,
     violations: Vec<InvariantViolation>,
     total_violations: u64,
+    /// Test-only bug seed: at this cycle the simulator leaks one flit of
+    /// credit behind the checker's back (see
+    /// [`crate::Simulator::debug_inject_credit_leak`]).
+    pub(crate) leak_at: Option<u64>,
+    /// Test-only bug seed: at this cycle the simulator corrupts one credit
+    /// book as a misbehaving buffer controller would (see
+    /// [`crate::Simulator::debug_misbehaving_controller`]).
+    pub(crate) misbehave_at: Option<u64>,
 }
 
 impl InvariantChecker {
@@ -279,6 +287,8 @@ impl InvariantChecker {
             expected_reserved: vec![0; num_routers * ports * vnets],
             violations: Vec::new(),
             total_violations: 0,
+            leak_at: None,
+            misbehave_at: None,
         }
     }
 

@@ -237,18 +237,10 @@ pub struct Simulator<T: TrafficSource> {
     /// branches of a build without the subsystem, so checkers-off runs
     /// are bit-identical (same pattern as `faults`).
     checker: Option<Box<InvariantChecker>>,
-    /// Test-only fault seed: at this cycle, leak one flit of credit by
-    /// reserving it behind the checker's back (see
-    /// [`Simulator::debug_inject_credit_leak`]).
-    leak_at: Option<u64>,
     /// VC buffer-control runtime; `None` (the default) is the static
     /// fast path and is bit-identical to a build without this subsystem
     /// (same pattern as `faults` / `checker`).
     vc_ctl: Option<Box<CtlRuntime>>,
-    /// Test-only fault seed: at this cycle, corrupt one credit book as a
-    /// misbehaving buffer controller would (see
-    /// [`Simulator::debug_misbehaving_controller`]).
-    misbehave_at: Option<u64>,
     /// Q48.16 exponential moving average of delivered end-to-end latency
     /// (integer-only so the recovery accounting stays bit-deterministic).
     lat_ema_q16: u64,
@@ -368,9 +360,7 @@ impl<T: TrafficSource> Simulator<T> {
             route_cacheable,
             faults: None,
             checker: None,
-            leak_at: None,
             vc_ctl: None,
-            misbehave_at: None,
             lat_ema_q16: 0,
             recov_baseline_q16: 0,
             recov_onset_cycle: 0,
@@ -549,9 +539,14 @@ impl<T: TrafficSource> Simulator<T> {
     /// checker — a deliberate credit leak the conformance harness must
     /// catch as a `CreditMismatch`. Kept in the public API (hidden from
     /// docs) so out-of-crate conformance tests can arm it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the invariant checker is enabled: the seed lives in
+    /// the checker sidecar, so checker-off runs never test for it.
     #[doc(hidden)]
     pub fn debug_inject_credit_leak(&mut self, cycle: u64) {
-        self.leak_at = Some(cycle);
+        self.debug_checker("debug_inject_credit_leak").leak_at = Some(cycle);
     }
 
     /// Test-only bug seed: at `cycle`, corrupt one credit book the way a
@@ -560,9 +555,20 @@ impl<T: TrafficSource> Simulator<T> {
     /// (`OccupancyMismatch`) must catch it the same cycle. Kept in the
     /// public API (hidden from docs) so out-of-crate conformance tests
     /// can arm it (see [`Simulator::debug_inject_credit_leak`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the invariant checker is enabled.
     #[doc(hidden)]
     pub fn debug_misbehaving_controller(&mut self, cycle: u64) {
-        self.misbehave_at = Some(cycle);
+        self.debug_checker("debug_misbehaving_controller").misbehave_at = Some(cycle);
+    }
+
+    /// The checker a test-only bug seed is armed on.
+    fn debug_checker(&mut self, hook: &str) -> &mut InvariantChecker {
+        self.checker.as_deref_mut().unwrap_or_else(|| {
+            panic!("{hook} needs the invariant checker: call enable_invariant_checker first")
+        })
     }
 
     /// Installs a [`BufferController`] — the second learned decision
@@ -573,7 +579,7 @@ impl<T: TrafficSource> Simulator<T> {
     /// The controller's proposals are clamped by the simulator so the
     /// combined fault-plus-controller squeeze always leaves
     /// `max_packet_flits` of advertiseable capacity beyond what the
-    /// fault plan takes (see the [`crate::vc_control`] module docs for
+    /// fault plan takes (see the `vc_control` module docs in `noc-sim` for
     /// the safety argument).
     ///
     /// # Panics
@@ -881,19 +887,11 @@ impl<T: TrafficSource> Simulator<T> {
             self.arbitrate_router(RouterId(r), cycle);
         }
 
-        // Test-only bug seed: apply a pending credit leak behind the
-        // checker's back (no-op unless armed by
-        // `debug_inject_credit_leak`).
-        if self.leak_at.is_some_and(|at| at <= cycle) {
-            self.apply_debug_leak();
-        }
-        if self.misbehave_at.is_some_and(|at| at <= cycle) {
-            self.apply_debug_misbehave();
-        }
-
-        // Invariant sweep (checker only): cross-check every buffer and the
-        // global conservation books after the cycle's state changes.
+        // Invariant sweep (checker only): apply any armed test-only bug
+        // seed, then cross-check every buffer and the global conservation
+        // books after the cycle's state changes.
         if self.checker.is_some() {
+            self.apply_debug_seeds(cycle);
             self.invariant_phase(cycle);
         }
 
@@ -906,31 +904,31 @@ impl<T: TrafficSource> Simulator<T> {
         self.cycle += 1;
     }
 
-    /// Reserves one flit on the first input VC with room, without telling
-    /// the invariant checker — the deliberate bug armed by
-    /// [`Simulator::debug_inject_credit_leak`]. Stays armed until a
-    /// buffer with free space is found.
-    fn apply_debug_leak(&mut self) {
-        // Flat index order is (router, port, vnet) ascending — the same
-        // walk as the old nested-struct layout.
-        for bi in 0..self.bufs.num_buffers() {
-            if self.bufs.can_reserve(bi, 1) {
-                self.bufs.reserve(bi, 1);
-                self.leak_at = None;
-                return;
+    /// Applies the test-only bug seeds armed on the checker once their
+    /// cycle has come, without telling the checker:
+    ///
+    /// * [`Simulator::debug_inject_credit_leak`] reserves one flit on the
+    ///   first input VC with room, and stays armed until one has room;
+    /// * [`Simulator::debug_misbehaving_controller`] counts one phantom
+    ///   used flit on the first buffer's credit book, modelling a buffer
+    ///   controller that wrote the books directly instead of going
+    ///   through the withhold interface. The checker's occupancy sweep
+    ///   must flag it as an `OccupancyMismatch` this same cycle.
+    fn apply_debug_seeds(&mut self, cycle: u64) {
+        let Some(ck) = self.checker.as_deref_mut() else { return };
+        if ck.leak_at.is_some_and(|at| at <= cycle) {
+            // Flat index order is (router, port, vnet) ascending — the
+            // same walk as the old nested-struct layout.
+            let bufs = &mut self.bufs;
+            if let Some(bi) = (0..bufs.num_buffers()).find(|&bi| bufs.can_reserve(bi, 1)) {
+                bufs.reserve(bi, 1);
+                ck.leak_at = None;
             }
         }
-    }
-
-    /// Counts one phantom used flit on the first buffer's credit book —
-    /// the deliberate accounting corruption armed by
-    /// [`Simulator::debug_misbehaving_controller`], modelling a buffer
-    /// controller that wrote the books directly instead of going through
-    /// the withhold interface. The checker's occupancy sweep must flag
-    /// the buffer as an `OccupancyMismatch` this same cycle.
-    fn apply_debug_misbehave(&mut self) {
-        self.bufs.debug_corrupt_used(0);
-        self.misbehave_at = None;
+        if ck.misbehave_at.is_some_and(|at| at <= cycle) {
+            self.bufs.debug_corrupt_used(0);
+            ck.misbehave_at = None;
+        }
     }
 
     /// Buffer-control bookkeeping run once per cycle while a controller is
@@ -1646,13 +1644,13 @@ impl<T: TrafficSource> Simulator<T> {
         if self.trace.is_some() {
             return Err("cannot checkpoint with packet tracing enabled".into());
         }
-        if self.leak_at.is_some() {
-            return Err("cannot checkpoint with a debug credit leak armed".into());
-        }
-        if self.misbehave_at.is_some() {
-            return Err("cannot checkpoint with a debug controller corruption armed".into());
-        }
         if let Some(ck) = &self.checker {
+            if ck.leak_at.is_some() {
+                return Err("cannot checkpoint with a debug credit leak armed".into());
+            }
+            if ck.misbehave_at.is_some() {
+                return Err("cannot checkpoint with a debug controller corruption armed".into());
+            }
             if ck.total_violations() > 0 {
                 return Err(
                     "cannot checkpoint after invariant violations were recorded".into(),
@@ -1918,7 +1916,7 @@ impl<T: TrafficSource> Simulator<T> {
         }
 
         if let (Some(c), Some((name, state))) = (&self.vc_ctl, &ctl_block) {
-            let ctl_fields = vec![
+            let ctl_fields = [
                 fstr("name", name),
                 farr("withhold", c.withhold.iter().map(|&n| n as u64)),
                 farr("fault_shrink", c.fault_shrink.iter().map(|&n| n as u64)),
@@ -1993,16 +1991,15 @@ impl<T: TrafficSource> Simulator<T> {
     /// Overwrites a freshly constructed simulator's state from a parsed
     /// checkpoint document (the body of [`Simulator::restore`]).
     fn apply_checkpoint(&mut self, checkpoint: &SimCheckpoint) -> Result<(), String> {
-        use crate::faults::json::{self, Value};
+        use crate::checkpoint::Fields;
+        use codec::Json;
         fn to_u32(v: u64, what: &str) -> Result<u32, String> {
             u32::try_from(v).map_err(|_| format!("\"{what}\" value {v} exceeds u32"))
         }
-        let doc = json::parse(checkpoint.to_json())?;
-        let obj = doc.as_obj("checkpoint")?;
-        let num = |k: &str| -> Result<u64, String> { json::get(obj, k)?.as_u64(k) };
-        let arr = |k: &str| -> Result<Vec<u64>, String> { ckpt::num_arr(json::get(obj, k)?, k) };
-        let maybe =
-            |k: &str| -> Option<&Value> { obj.iter().find(|(key, _)| key == k).map(|(_, v)| v) };
+        let doc = Json::parse(checkpoint.to_json())?;
+        let obj = doc.object("checkpoint")?;
+        let num = |k: &str| obj.u64_field(k);
+        let arr = |k: &str| ckpt::num_arr(obj.field(k)?, k);
 
         let version = num("version")?;
         if version != ckpt::CHECKPOINT_VERSION {
@@ -2025,14 +2022,14 @@ impl<T: TrafficSource> Simulator<T> {
         shape("ports", self.ports as u64)?;
         shape("vnets", self.vnets as u64)?;
         shape("nodes", self.node_ports.len() as u64)?;
-        let routing = json::get(obj, "routing")?.as_str("routing")?;
+        let routing = obj.str_field("routing")?;
         if routing != self.cfg.routing.as_str() {
             return Err(format!(
                 "checkpoint routing \"{routing}\" does not match configured \"{}\"",
                 self.cfg.routing.as_str()
             ));
         }
-        let arbiter_name = json::get(obj, "arbiter_name")?.as_str("arbiter_name")?;
+        let arbiter_name = obj.str_field("arbiter_name")?;
         if arbiter_name != self.arbiter.name() {
             return Err(format!(
                 "checkpoint arbiter \"{arbiter_name}\" does not match supplied \"{}\"",
@@ -2041,9 +2038,9 @@ impl<T: TrafficSource> Simulator<T> {
         }
 
         // Statistics.
-        let sv = json::get(obj, "stats")?.as_obj("stats")?;
-        let snum = |k: &str| -> Result<u64, String> { json::get(sv, k)?.as_u64(k) };
-        let sarr = |k: &str| -> Result<Vec<u64>, String> { ckpt::num_arr(json::get(sv, k)?, k) };
+        let sv = obj.field("stats")?.object("stats")?;
+        let snum = |k: &str| sv.u64_field(k);
+        let sarr = |k: &str| ckpt::num_arr(sv.field(k)?, k);
         let delivered_per_vnet = sarr("delivered_per_vnet")?;
         let delivered_per_node = sarr("delivered_per_node")?;
         if delivered_per_vnet.len() != self.vnets
@@ -2130,7 +2127,7 @@ impl<T: TrafficSource> Simulator<T> {
 
         // Injection queues (plus their occupancy bitmap and total).
         self.queued_total = 0;
-        for row in json::get(obj, "inj_queues")?.as_arr("inj_queues")? {
+        for row in obj.arr_field("inj_queues")? {
             let nums = ckpt::num_arr(row, "inj_queues")?;
             if nums.is_empty() || (nums.len() - 1) % ckpt::PACKET_NUMS != 0 {
                 return Err("malformed \"inj_queues\" record".into());
@@ -2157,7 +2154,7 @@ impl<T: TrafficSource> Simulator<T> {
         // In-flight arrivals calendar.
         let cursor = num("arrivals_cursor")?;
         let mut items: Vec<(u64, Arrival)> = Vec::new();
-        for row in json::get(obj, "arrivals")?.as_arr("arrivals")? {
+        for row in obj.arr_field("arrivals")? {
             let nums = ckpt::num_arr(row, "arrivals")?;
             if nums.len() < 2 {
                 return Err("malformed \"arrivals\" record".into());
@@ -2192,7 +2189,7 @@ impl<T: TrafficSource> Simulator<T> {
         // Link-transmission end counters.
         let tx_cursor = num("tx_ends_cursor")?;
         let mut tx_items: Vec<(u64, u32)> = Vec::new();
-        for row in json::get(obj, "tx_ends")?.as_arr("tx_ends")? {
+        for row in obj.arr_field("tx_ends")? {
             let nums = ckpt::num_arr(row, "tx_ends")?;
             if nums.len() != 2 || nums[0] < tx_cursor {
                 return Err("malformed \"tx_ends\" record".into());
@@ -2202,7 +2199,7 @@ impl<T: TrafficSource> Simulator<T> {
         self.tx_ends = CalendarCounter::restore(self.tx_ends.horizon(), tx_cursor, tx_items);
 
         // Buffer contents, credit books, and the occupancy bitmap.
-        for row in json::get(obj, "buffers")?.as_arr("buffers")? {
+        for row in obj.arr_field("buffers")? {
             let nums = ckpt::num_arr(row, "buffers")?;
             if nums.len() < 5 || (nums.len() - 5) % ckpt::BUFFERED_NUMS != 0 {
                 return Err("malformed \"buffers\" record".into());
@@ -2231,16 +2228,16 @@ impl<T: TrafficSource> Simulator<T> {
 
         // Fault runtime: the timeline tables are pure functions of the
         // plan and are rebuilt; only the retry backoff state is restored.
-        if let Some(fv) = maybe("faults") {
-            let fobj = fv.as_obj("faults")?;
-            let plan = FaultPlan::from_value(json::get(fobj, "plan")?)?;
+        if let Some(fv) = obj.get("faults") {
+            let fobj = fv.object("faults")?;
+            let plan = FaultPlan::from_value(fobj.field("plan")?)?;
             plan.validate(&self.topo)?;
             if plan.is_empty() {
                 return Err("checkpoint carries an empty fault plan".into());
             }
             let mut fr = Box::new(FaultRuntime::new(&plan, &self.topo, self.cfg.num_vnets));
-            let hold = ckpt::num_arr(json::get(fobj, "hold_until")?, "hold_until")?;
-            let retry = ckpt::num_arr(json::get(fobj, "retry_count")?, "retry_count")?
+            let hold = ckpt::num_arr(fobj.field("hold_until")?, "hold_until")?;
+            let retry = ckpt::num_arr(fobj.field("retry_count")?, "retry_count")?
                 .iter()
                 .map(|&n| to_u32(n, "retry_count"))
                 .collect::<Result<Vec<u32>, _>>()?;
@@ -2250,11 +2247,10 @@ impl<T: TrafficSource> Simulator<T> {
 
         // Invariant checker: re-armed from scratch, then its books are
         // overwritten so checking continues seamlessly mid-run.
-        if let Some(cv) = maybe("checker") {
-            let cobj = cv.as_obj("checker")?;
-            let cnum = |k: &str| -> Result<u64, String> { json::get(cobj, k)?.as_u64(k) };
-            let carr =
-                |k: &str| -> Result<Vec<u64>, String> { ckpt::num_arr(json::get(cobj, k)?, k) };
+        if let Some(cv) = obj.get("checker") {
+            let cobj = cv.object("checker")?;
+            let cnum = |k: &str| cobj.u64_field(k);
+            let carr = |k: &str| ckpt::num_arr(cobj.field(k)?, k);
             let flow_flat = carr("last_in_flow")?;
             if flow_flat.len() % 4 != 0 {
                 return Err("malformed \"last_in_flow\" record".into());
@@ -2294,7 +2290,7 @@ impl<T: TrafficSource> Simulator<T> {
         // `set_buffer_controller` before `restore_checkpoint`); only its
         // mutable state and the simulator-owned actuation books travel in
         // the checkpoint. Presence and name must match on both sides.
-        match (maybe("vc_ctl"), &mut self.vc_ctl) {
+        match (obj.get("vc_ctl"), &mut self.vc_ctl) {
             (None, None) => {}
             (Some(_), None) => {
                 return Err(
@@ -2311,8 +2307,8 @@ impl<T: TrafficSource> Simulator<T> {
                 );
             }
             (Some(cv), Some(c)) => {
-                let cobj = cv.as_obj("vc_ctl")?;
-                let name = json::get(cobj, "name")?.as_str("name")?;
+                let cobj = cv.object("vc_ctl")?;
+                let name = cobj.str_field("name")?;
                 if name != c.ctl.name() {
                     return Err(format!(
                         "checkpoint buffer controller \"{name}\" does not match installed \"{}\"",
@@ -2320,9 +2316,9 @@ impl<T: TrafficSource> Simulator<T> {
                     ));
                 }
                 let n = c.withhold.len();
-                let withhold = ckpt::num_arr(json::get(cobj, "withhold")?, "withhold")?;
+                let withhold = ckpt::num_arr(cobj.field("withhold")?, "withhold")?;
                 let fault_shrink =
-                    ckpt::num_arr(json::get(cobj, "fault_shrink")?, "fault_shrink")?;
+                    ckpt::num_arr(cobj.field("fault_shrink")?, "fault_shrink")?;
                 if withhold.len() != n || fault_shrink.len() != n {
                     return Err("checkpoint \"vc_ctl\" vector shapes do not match".into());
                 }
@@ -2334,18 +2330,18 @@ impl<T: TrafficSource> Simulator<T> {
                     .iter()
                     .map(|&v| to_u32(v, "fault_shrink"))
                     .collect::<Result<_, _>>()?;
-                c.epochs_run = json::get(cobj, "epochs_run")?.as_u64("epochs_run")?;
+                c.epochs_run = cobj.u64_field("epochs_run")?;
                 c.ctl
-                    .restore_state(json::get(cobj, "state")?.as_str("state")?)?;
+                    .restore_state(cobj.str_field("state")?)?;
             }
         }
 
         // Opaque policy and traffic state, last: everything structural is
         // already in place if these implementations want to sanity-check.
         self.traffic
-            .restore_state(json::get(obj, "traffic")?.as_str("traffic")?)?;
+            .restore_state(obj.str_field("traffic")?)?;
         self.arbiter
-            .restore_state(json::get(obj, "arbiter")?.as_str("arbiter")?)?;
+            .restore_state(obj.str_field("arbiter")?)?;
         Ok(())
     }
 }
@@ -2931,6 +2927,24 @@ mod tests {
         );
         // Detection is immediate: the sweep at the leak cycle flags it.
         assert_eq!(vs[0].cycle, 500);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the invariant checker")]
+    fn arming_a_bug_seed_without_the_checker_panics() {
+        uniform_sim(42, 0.15).debug_inject_credit_leak(500);
+    }
+
+    #[test]
+    fn checkpoint_refuses_while_a_bug_seed_is_armed() {
+        let mut sim = uniform_sim(42, 0.15);
+        sim.enable_invariant_checker();
+        sim.debug_inject_credit_leak(500);
+        assert!(sim.checkpoint().unwrap_err().contains("credit leak"));
+        let mut sim = uniform_sim(42, 0.15);
+        sim.enable_invariant_checker();
+        sim.debug_misbehaving_controller(500);
+        assert!(sim.checkpoint().unwrap_err().contains("controller corruption"));
     }
 
     #[test]

@@ -65,6 +65,6 @@ pub use online::OnlinePolicy;
 pub use progress::{is_quiet, set_quiet};
 pub use replay::{Experience, PrioritizedReplay, ReplayMemory};
 pub use reward::RewardKind;
-pub use train::{fnv1a64, train_synthetic, TrainOutcome, TrainSpec};
+pub use train::{train_synthetic, TrainOutcome, TrainSpec};
 pub use trainer::{training_epochs, Trainer};
 pub use vc_ctl::RlVcController;

@@ -65,5 +65,5 @@ fn main() {
     evaluate(make_arbiter(PolicyKind::GlobalAge, 1), "global-age", rate);
     println!("\nThe RL-inspired policy — two saturating counters and an adder —");
     println!("captures most of the oracle's tail-latency benefit in hardware");
-    println!("that fits a single cycle (see `cargo run -p bench --bin table3_synthesis`).");
+    println!("that fits a single cycle (see `cargo run -p bench --bin repro -- table3`).");
 }

@@ -4,8 +4,9 @@
 # JSON (and CSV where applicable) alongside them, training/progress
 # chatter in results/<name>.log.
 #
-# The driver keeps output basenames equal to the historical binary names,
-# so regenerated artifacts land on the checked-in results/ paths.
+# The driver keeps output basenames equal to the names of the retired
+# per-figure binaries, so regenerated artifacts land on the checked-in
+# results/ paths.
 set -u
 cd "$(dirname "$0")"
 REPRO=./target/release/repro
